@@ -555,6 +555,39 @@ mod tests {
     }
 
     #[test]
+    fn large_trace_validates_in_one_piece() {
+        // 32,768 spans over 4 threads, each a parent with one child: the
+        // size of a long profiling run, parsed as a single document.
+        let spans: Vec<_> = (0..16_384u64)
+            .flat_map(|i| {
+                let t0 = i * 10_000;
+                [
+                    crate::trace::SpanRecord {
+                        cat: "sim",
+                        name: "run",
+                        start_ns: t0,
+                        end_ns: t0 + 8_000,
+                        thread: i % 4,
+                    },
+                    crate::trace::SpanRecord {
+                        cat: "sim",
+                        name: "event_loop",
+                        start_ns: t0 + 1_000,
+                        end_ns: t0 + 7_000,
+                        thread: i % 4,
+                    },
+                ]
+            })
+            .collect();
+        let json = from_spans(&spans).to_json_string();
+        let start = std::time::Instant::now();
+        let stats = validate_trace(&json).unwrap();
+        assert_eq!(stats.slices, 32_768);
+        assert_eq!(stats.lanes, 4);
+        assert!(start.elapsed().as_secs() < 30, "trace validation is not linear");
+    }
+
+    #[test]
     fn host_spans_export() {
         let spans = vec![
             crate::trace::SpanRecord {

@@ -5,7 +5,9 @@
 //! by completion order. [`par_map`] runs such a grid across a pool of scoped
 //! threads and returns results in input order, so callers that derive any
 //! per-item randomness from the item index produce byte-identical output at
-//! every thread count.
+//! every thread count. Parallelism lives only here, across runs: a single
+//! simulation run is sequential, so `PAP_THREADS` never changes what one
+//! run computes.
 //!
 //! Thread count resolution, highest priority first:
 //! 1. [`set_threads`] (e.g. from `papctl --threads N`),
@@ -115,42 +117,6 @@ where
     slots.into_iter().map(|s| s.expect("par_map slot unfilled")).collect()
 }
 
-/// Run `f(0) … f(n-1)` concurrently, one dedicated scoped thread each, and
-/// wait for all of them.
-///
-/// Unlike [`par_map`], every invocation gets its *own* thread for its whole
-/// lifetime — required by lockstep algorithms whose workers rendezvous on a
-/// [`std::sync::Barrier`] (a bounded pool would deadlock: a queued worker
-/// can never reach a barrier its running peers are waiting on). The threads
-/// are marked as workers so nested fan-out stays sequential. A panic in `f`
-/// propagates to the caller when the scope joins.
-///
-/// `pap-sim` drives partitioned single-run execution through this.
-pub fn lockstep<F>(n: usize, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    if n == 0 {
-        return;
-    }
-    if n == 1 {
-        f(0);
-        return;
-    }
-    let m = pool_metrics();
-    m.lockstep_calls.inc();
-    let _span = pap_obs::span("pool", "lockstep");
-    std::thread::scope(|scope| {
-        for i in 0..n {
-            let f = &f;
-            scope.spawn(move || {
-                IN_WORKER.with(|flag| flag.set(true));
-                f(i);
-            });
-        }
-    });
-}
-
 /// [`par_map`] over an index range instead of a slice.
 pub fn par_map_range<U, F>(n: usize, f: F) -> Vec<U>
 where
@@ -184,7 +150,6 @@ struct PoolMetrics {
     workers_busy: pap_obs::Gauge,
     par_map_calls: pap_obs::Counter,
     par_map_items: pap_obs::Counter,
-    lockstep_calls: pap_obs::Counter,
 }
 
 fn pool_metrics() -> &'static PoolMetrics {
@@ -202,7 +167,6 @@ fn pool_metrics() -> &'static PoolMetrics {
             workers_busy: reg.gauge("pool.workers_busy"),
             par_map_calls: reg.counter("pool.par_map.calls"),
             par_map_items: reg.counter("pool.par_map.items"),
-            lockstep_calls: reg.counter("pool.lockstep.calls"),
         }
     })
 }
@@ -350,22 +314,6 @@ mod tests {
 
     /// Serializes tests that mutate the global thread-count override.
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    #[test]
-    fn lockstep_runs_every_index_and_supports_barriers() {
-        let n = 4;
-        let barrier = std::sync::Barrier::new(n);
-        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        lockstep(n, |i| {
-            // A barrier inside the worker body would deadlock on a bounded
-            // pool; dedicated threads must sail through.
-            barrier.wait();
-            hits[i].fetch_add(1, Ordering::Relaxed);
-            assert!(in_worker());
-            barrier.wait();
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
 
     #[test]
     fn results_are_in_input_order() {

@@ -3,11 +3,11 @@
 //!
 //! ## Canonical event order
 //!
-//! Events are ordered by `(t, kind, uid, idx)`. The old engine broke
-//! timestamp ties by insertion sequence, which is a property of *one
-//! particular execution*; partitioned execution (see
-//! [`crate::engine`]) processes the same events from several queues, so ties
-//! must be broken by a key that every execution computes identically:
+//! Events are ordered by `(t, kind, uid, idx)`. Timestamp ties are broken
+//! deterministically by a key derived from the program itself, not by
+//! insertion sequence, so the pop order does not depend on how the engine
+//! happened to schedule events (inline cascades, elided events, queue
+//! implementation):
 //!
 //! * `kind` — [`QEvent::KIND_WAKE`] < inject < wire-arrival < delivered,
 //! * `uid` — for rank wakes the rank id; for message events a stable message
@@ -264,7 +264,7 @@ impl EventQueue {
     /// latency): heap below [`CALENDAR_MIN_RANKS`], calendar above with a
     /// bucket width of half the hint.
     pub fn auto(ranks: usize, gap_hint: f64) -> Self {
-        if std::env::var_os("PAP_SIM_FORCE_HEAP").is_none() && ranks >= CALENDAR_MIN_RANKS && gap_hint.is_finite() && gap_hint > 0.0 {
+        if ranks >= CALENDAR_MIN_RANKS && gap_hint.is_finite() && gap_hint > 0.0 {
             Self::calendar(gap_hint * 0.5)
         } else {
             Self::heap()

@@ -60,7 +60,7 @@ pub mod time;
 pub mod timeline;
 
 pub use data::{RankSet, Value};
-pub use engine::{run, run_auto, run_par, run_ref, RunOutcome, SimError};
+pub use engine::{run, run_ref, RunOutcome, SimError};
 pub use fault::{FaultSpec, LinkFault, NoiseStorm, RankCrash, RankStall, ANY_NODE};
 pub use noise::NoiseModel;
 pub use platform::{
@@ -98,8 +98,7 @@ pub struct SimConfig {
     /// slowdown windows, noise storms). [`FaultSpec::none`] — the default —
     /// takes exactly the fault-free code paths, so output is bit-identical
     /// to a run without the field. Faults apply at deterministic simulated
-    /// timestamps, preserving the byte-identical `run_ref`/`run_par`
-    /// contract at any partition count.
+    /// timestamps, so a faulted run is as reproducible as a clean one.
     pub faults: FaultSpec,
 }
 

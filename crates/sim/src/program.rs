@@ -426,12 +426,12 @@ pub struct Job {
     pub programs: Vec<RankProgram>,
     /// Per-rank request-arena sizes, computed lazily on first run. At 10K+
     /// ranks the full-program scan is a measurable slice of a single run,
-    /// and jobs are routinely re-run (sweeps, repetitions, partitions), so
+    /// and jobs are routinely re-run (sweeps, repetitions), so
     /// the result is cached. `programs` must not be mutated after the
     /// first run of the job.
     req_counts: std::sync::OnceLock<Vec<u32>>,
     /// Flattened engine form (see [`crate::compiled`]), built lazily on the
-    /// first run and shared by all later runs and partitions. Same caching
+    /// first run and shared by all later runs. Same caching
     /// contract as `req_counts`.
     compiled: std::sync::OnceLock<crate::compiled::CompiledJob>,
 }

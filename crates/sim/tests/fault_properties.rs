@@ -1,18 +1,18 @@
 //! Property-based tests of the fault-injection layer: *arbitrary* valid
 //! [`FaultSpec`]s must never panic, never hang the event queue, and must
-//! produce bit-identical outcomes at every partition count — crashing runs
-//! included (a crash that starves dependents surfaces as a deterministic
-//! [`SimError::Deadlock`], not a hang). Invalid specs are rejected up front
-//! with [`SimError::InvalidProgram`], never a panic.
+//! produce bit-identical outcomes when the same run is repeated — crashing
+//! runs included (a crash that starves dependents surfaces as a
+//! deterministic [`SimError::Deadlock`], not a hang). Invalid specs are
+//! rejected up front with [`SimError::InvalidProgram`], never a panic.
 
 use pap_sim::{
-    run_par, run_ref, FaultSpec, Job, Op, Platform, RankProgram, SimConfig, SimError, ANY_NODE,
+    run_ref, FaultSpec, Job, Op, Platform, RankProgram, RunOutcome, SimConfig, SimError, ANY_NODE,
 };
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 
-/// A small multi-node platform: 4 ranks per node so partition counts up to
-/// 8 genuinely split the machine.
+/// A small multi-node platform: 4 ranks per node, so most messages cross
+/// nodes and link faults bite.
 fn multinode(p: usize) -> Platform {
     let mut platform = Platform::simcluster(p);
     platform.cores_per_node = 4;
@@ -78,23 +78,30 @@ fn build_spec(
     spec
 }
 
-/// Blocked rank list of a deadlock, for cross-partition comparison (the
-/// reported `at` is a progress watermark and may legitimately differ).
-fn blocked_ranks(e: &SimError) -> Vec<usize> {
-    match e {
-        SimError::Deadlock { blocked, .. } => blocked.iter().map(|(r, _)| *r).collect(),
-        e => panic!("expected deadlock, got {e:?}"),
-    }
+/// Whether two outcomes are bit-identical: every `f64` compared via
+/// `to_bits`, every count and record exactly equal.
+fn bit_identical(a: &RunOutcome, b: &RunOutcome) -> bool {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    bits(&a.finish) == bits(&b.finish)
+        && a.phases.len() == b.phases.len()
+        && a.phases.iter().zip(&b.phases).all(|(x, y)| {
+            (x.rank, x.label, x.enter.to_bits(), x.exit.to_bits())
+                == (y.rank, y.label, y.enter.to_bits(), y.exit.to_bits())
+        })
+        && a.events == b.events
+        && a.messages == b.messages
+        && a.data_errors == b.data_errors
+        && a.slots == b.slots
 }
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
     /// The headline property: any valid spec terminates (Ok or a clean
-    /// deadlock report) and partitions bit-identically at 1, 2, and 8
-    /// threads — crashes, cascading stalls, wildcard windows and all.
+    /// deadlock report) and a second run reproduces it bit for bit —
+    /// crashes, cascading stalls, wildcard windows and all.
     #[test]
-    fn arbitrary_specs_terminate_and_partition_identically(
+    fn arbitrary_specs_terminate_and_rerun_identically(
         p in 8usize..40,
         stalls in pvec((0usize..1024, 0.0..5e-3f64, 0.0..2e-3f64), 0..4),
         crashes in pvec((0usize..1024, 0.0..5e-3f64), 0..2),
@@ -106,24 +113,16 @@ proptest! {
         let spec = build_spec(p, platform.nodes, stalls, crashes, links, storms);
         let cfg = SimConfig::default().with_faults(spec);
         let job = bcast_job(p, delays_seed);
-        let seq = run_ref(&platform, &job, &cfg);
-        for parts in [2usize, 8] {
-            let par = run_par(&platform, &job, &cfg, parts);
-            match (&seq, &par) {
-                (Ok(a), Ok(b)) => {
-                    for (i, (x, y)) in a.finish.iter().zip(&b.finish).enumerate() {
-                        prop_assert_eq!(x.to_bits(), y.to_bits(),
-                            "finish[{}] diverged at parts={}", i, parts);
-                    }
-                    prop_assert_eq!(a.messages, b.messages);
-                }
-                (Err(a), Err(b)) => {
-                    prop_assert_eq!(blocked_ranks(a), blocked_ranks(b),
-                        "blocked sets diverged at parts={}", parts);
-                }
-                _ => prop_assert!(false,
-                    "Ok/Err disagreement at parts={}: {:?} vs {:?}", parts, seq, par),
+        let first = run_ref(&platform, &job, &cfg);
+        let again = run_ref(&platform, &job, &cfg);
+        match (&first, &again) {
+            (Ok(a), Ok(b)) => prop_assert!(bit_identical(a, b), "rerun diverged"),
+            (Err(a @ SimError::Deadlock { at, .. }), Err(b)) => {
+                prop_assert_eq!(a, b, "deadlock reports diverged");
+                prop_assert!(at.is_finite());
             }
+            _ => prop_assert!(false,
+                "expected Ok or a deadlock, reproducibly: {:?} vs {:?}", first, again),
         }
     }
 
@@ -143,10 +142,8 @@ proptest! {
         let job = bcast_job(p, delays_seed);
         let cfg = SimConfig::default().with_faults(a);
         let x = run_ref(&platform, &job, &cfg).unwrap();
-        let y = run_par(&platform, &job, &cfg, 8).unwrap();
-        for (i, (u, v)) in x.finish.iter().zip(&y.finish).enumerate() {
-            prop_assert_eq!(u.to_bits(), v.to_bits(), "finish[{}]", i);
-        }
+        let y = run_ref(&platform, &job, &cfg).unwrap();
+        prop_assert!(bit_identical(&x, &y), "rerun diverged");
     }
 
     /// Out-of-envelope specs — bad ranks, bad nodes, non-finite or huge
@@ -174,4 +171,17 @@ proptest! {
             );
         }
     }
+}
+
+/// `FaultSpec::none()` takes exactly the fault-free code paths: the output
+/// is byte-identical to a config that never mentions faults.
+#[test]
+fn fault_spec_none_is_byte_identical_to_no_faults() {
+    let p = 1_024;
+    let platform = Platform::simcluster(p);
+    let job = bcast_job(p, 0);
+    let plain = run_ref(&platform, &job, &SimConfig::default()).expect("plain run");
+    let none_cfg = SimConfig::default().with_faults(FaultSpec::none());
+    let none = run_ref(&platform, &job, &none_cfg).expect("FaultSpec::none() run");
+    assert!(bit_identical(&plain, &none), "FaultSpec::none() changed the outcome");
 }
