@@ -2,11 +2,11 @@
 //! calibration rules.
 
 use pap_arrival::{generate, ArrivalPattern, Shape};
-use pap_collectives::{CollSpec, CollectiveKind, TAG_SPAN};
+use pap_collectives::{CollSpec, CollectiveKind};
 use pap_sim::Platform;
 use serde::{Deserialize, Serialize};
 
-use crate::harness::{measure, Backend, BenchConfig, BenchError};
+use crate::harness::{measure, prepare, Backend, BenchConfig, BenchError};
 use crate::stats::RunStats;
 
 /// How the maximum process skew of the generated patterns is chosen.
@@ -74,9 +74,43 @@ pub fn derive_seed(base: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// Whether a measurement under `cfg` comes out the same for every seed: the
+/// analytical model, or the simulator with no noise, perfect clocks and no
+/// faults. Such a measurement is taken once and reused wherever it recurs.
+fn seed_independent(platform: &Platform, cfg: &BenchConfig) -> bool {
+    cfg.backend == Backend::Model
+        || (cfg.noise.unwrap_or(platform.default_noise).is_none()
+            && !cfg.clock_sync
+            && cfg.faults.is_none())
+}
+
+/// Every algorithm's `NoDelay` measurement under `cfg`, in `algs` order.
+/// The per-algorithm runs are independent and fan out over
+/// [`pap_parallel::par_map`].
+fn no_delay_stats(
+    platform: &Platform,
+    kind: CollectiveKind,
+    algs: &[u8],
+    bytes: u64,
+    cfg: &BenchConfig,
+) -> Result<Vec<RunStats>, BenchError> {
+    let nodelay = generate(Shape::NoDelay, platform.ranks, 0.0, 0);
+    pap_parallel::par_map(algs, |_, &alg| measure(platform, &CollSpec::new(kind, alg, bytes), &nodelay, cfg))
+        .into_iter()
+        .collect()
+}
+
+/// Mean `NoDelay` runtime over a calibration run.
+fn avg_runtime(stats: &[RunStats]) -> f64 {
+    let mut sum = 0.0;
+    for s in stats {
+        sum += s.mean_last();
+    }
+    sum / stats.len() as f64
+}
+
 /// §III-B: the average `NoDelay` runtime `t̄ᵃ` over a set of algorithms,
-/// used to size artificial skews. The per-algorithm runs are independent
-/// and fan out over [`pap_parallel::par_map`].
+/// used to size artificial skews.
 pub fn calibrate_avg_runtime(
     platform: &Platform,
     kind: CollectiveKind,
@@ -84,12 +118,7 @@ pub fn calibrate_avg_runtime(
     bytes: u64,
     cfg: &BenchConfig,
 ) -> Result<f64, BenchError> {
-    let times = pap_parallel::par_map(algs, |i, &alg| no_delay_runtime(platform, kind, alg, bytes, cfg, i));
-    let mut sum = 0.0;
-    for t in times {
-        sum += t?;
-    }
-    Ok(sum / algs.len() as f64)
+    Ok(avg_runtime(&no_delay_stats(platform, kind, algs, bytes, cfg)?))
 }
 
 /// One algorithm's `NoDelay` mean last-delay runtime `tᵢ`.
@@ -99,17 +128,20 @@ pub fn no_delay_runtime(
     alg: u8,
     bytes: u64,
     cfg: &BenchConfig,
-    tag_slot: usize,
 ) -> Result<f64, BenchError> {
-    let spec = CollSpec::new(kind, alg, bytes).with_tag_base(tag_slot as u64 * 64 * TAG_SPAN);
     let nodelay = generate(Shape::NoDelay, platform.ranks, 0.0, 0);
-    Ok(measure(platform, &spec, &nodelay, cfg)?.mean_last())
+    Ok(measure(platform, &CollSpec::new(kind, alg, bytes), &nodelay, cfg)?.mean_last())
 }
 
 /// Run the full (algorithms × shapes) sweep for one collective and message
 /// size, with patterns sized by `policy`. Extra named patterns (e.g. the
 /// traced FT-Scenario) can be appended via `extra_patterns`; their delays
 /// are used as-is.
+///
+/// Each algorithm is one row: it is prepared (built and compiled) once and
+/// then measured under every pattern. Rows fan out over
+/// [`pap_parallel::par_map`]; every cell derives its own seed from (base
+/// seed, grid index), so the result is byte-identical at any thread count.
 #[allow(clippy::too_many_arguments)]
 pub fn sweep(
     platform: &Platform,
@@ -123,71 +155,36 @@ pub fn sweep(
 ) -> Result<SweepResult, BenchError> {
     let p = platform.ranks;
 
-    // The analytical backend is deterministic and independent of the
-    // measurement seed and tag base, so the per-algorithm NoDelay runs that
-    // calibrate the skew are the very measurements the grid's NoDelay
-    // column would redo. Run them once up front and reuse them for both.
-    // The simulator path keeps separate runs: its noise draws from the
-    // per-cell derived seed, so calibration and grid cells differ there.
-    let model_nodelay: Option<Vec<RunStats>> = if cfg.backend == Backend::Model
-        && matches!(policy, SkewPolicy::FactorOfAvg(_) | SkewPolicy::PerAlgorithm)
-    {
-        let nodelay = generate(Shape::NoDelay, p, 0.0, 0);
-        let runs = pap_parallel::par_map(algs, |i, &alg| {
-            let spec = CollSpec::new(kind, alg, bytes).with_tag_base(i as u64 * 64 * TAG_SPAN);
-            measure(platform, &spec, &nodelay, cfg)
-        });
-        Some(runs.into_iter().collect::<Result<Vec<_>, _>>()?)
-    } else {
-        None
-    };
-
-    // Calibrate skews.
-    let fixed_skew = match policy {
-        SkewPolicy::Fixed(s) => Some(s),
-        SkewPolicy::FactorOfAvg(f) => {
-            let avg = match &model_nodelay {
-                Some(nd) => {
-                    let mut sum = 0.0;
-                    for s in nd {
-                        sum += s.mean_last();
-                    }
-                    sum / algs.len() as f64
-                }
-                None => calibrate_avg_runtime(platform, kind, algs, bytes, cfg)?,
-            };
-            Some(f * avg)
-        }
-        SkewPolicy::PerAlgorithm => None,
+    // Calibrate skews from every algorithm's NoDelay runtime (§III-B,
+    // §IV-C).
+    let calibration = match policy {
+        SkewPolicy::Fixed(_) => Vec::new(),
+        _ => no_delay_stats(platform, kind, algs, bytes, cfg)?,
     };
     let per_alg_skew: Vec<f64> = match policy {
-        SkewPolicy::PerAlgorithm => match &model_nodelay {
-            Some(nd) => nd.iter().map(|s| s.mean_last()).collect(),
-            None => {
-                let runs =
-                    pap_parallel::par_map(algs, |i, &a| no_delay_runtime(platform, kind, a, bytes, cfg, i));
-                runs.into_iter().collect::<Result<_, _>>()?
-            }
-        },
-        _ => vec![fixed_skew.unwrap_or(0.0); algs.len()],
+        SkewPolicy::Fixed(s) => vec![s; algs.len()],
+        SkewPolicy::FactorOfAvg(f) => vec![f * avg_runtime(&calibration); algs.len()],
+        SkewPolicy::PerAlgorithm => calibration.iter().map(RunStats::mean_last).collect(),
     };
+    // When the measurement does not depend on the seed, calibration already
+    // ran each row's NoDelay cell.
+    let reuse_nodelay = !calibration.is_empty() && seed_independent(platform, cfg);
 
     // Generate each distinct skew's shape patterns once and share them
-    // across the grid: under Fixed/FactorOfAvg every algorithm faces the
-    // same skew, so per-cell generation would repeat identical O(p) work
-    // once per algorithm. Same (shape, p, skew, seed) arguments as the
-    // per-cell calls, so the pattern values are unchanged.
-    let mut row_skew_bits: Vec<u64> = Vec::new();
-    let mut rows: Vec<Vec<ArrivalPattern>> = Vec::new();
-    let row_of: Vec<usize> = per_alg_skew
+    // across rows: under Fixed/FactorOfAvg every algorithm faces the same
+    // skew. Patterns come from the *base* seed: every algorithm must face
+    // the same pattern.
+    let mut set_skew_bits: Vec<u64> = Vec::new();
+    let mut pattern_sets: Vec<Vec<ArrivalPattern>> = Vec::new();
+    let set_of: Vec<usize> = per_alg_skew
         .iter()
         .map(|&skew| {
             let bits = skew.to_bits();
-            if let Some(i) = row_skew_bits.iter().position(|&b| b == bits) {
+            if let Some(i) = set_skew_bits.iter().position(|&b| b == bits) {
                 return i;
             }
-            row_skew_bits.push(bits);
-            rows.push(
+            set_skew_bits.push(bits);
+            pattern_sets.push(
                 shapes
                     .iter()
                     .map(|&shape| {
@@ -196,66 +193,38 @@ pub fn sweep(
                     })
                     .collect(),
             );
-            rows.len() - 1
+            pattern_sets.len() - 1
         })
         .collect();
 
     let mut pattern_names: Vec<String> = shapes.iter().map(|s| s.name().to_string()).collect();
     pattern_names.extend(extra_patterns.iter().map(|e| e.name.clone()));
+    let row_len = pattern_names.len();
 
-    // Flatten the (algorithm × pattern) grid into independent run
-    // descriptors, then fan out. Each run derives its own measurement seed
-    // from (base seed, grid index) and a disjoint tag range from the same
-    // index, so runs are fully independent and the parallel result is
-    // byte-identical to the sequential loop. Patterns are still generated
-    // from the *base* seed: every algorithm must face the same pattern.
-    enum Pat<'p> {
-        Shape(usize),
-        Extra(&'p ArrivalPattern),
-    }
-    let mut grid: Vec<(usize, u8, u64, Pat<'_>)> = Vec::new();
-    for (ai, &alg) in algs.iter().enumerate() {
-        let mut cell_id = 0u64;
-        for si in 0..shapes.len() {
-            grid.push((ai, alg, cell_id, Pat::Shape(si)));
-            cell_id += 1;
+    let rows = pap_parallel::par_map(algs, |ai, &alg| {
+        let mut prepared = prepare(platform, &CollSpec::new(kind, alg, bytes), cfg)?;
+        let patterns = pattern_sets[set_of[ai]].iter().chain(extra_patterns);
+        let mut cells = Vec::with_capacity(row_len);
+        for (ci, (pattern, name)) in patterns.zip(&pattern_names).enumerate() {
+            let stats = if reuse_nodelay && shapes.get(ci) == Some(&Shape::NoDelay) {
+                calibration[ai].clone()
+            } else {
+                let run_cfg = cfg.clone().with_seed(derive_seed(cfg.seed, (ai * row_len + ci) as u64));
+                let stats = prepared.measure(platform, pattern, &run_cfg)?;
+                // Stream completed spans out of the bounded rings between
+                // cells; a long sweep would otherwise overflow them before a
+                // final drain. No-op unless a span stream is installed.
+                pap_obs::pump_spans();
+                stats
+            };
+            cells.push(SweepCell { alg, pattern: name.clone(), skew: pattern.max_skew(), stats });
         }
-        for extra in extra_patterns {
-            grid.push((ai, alg, cell_id, Pat::Extra(extra)));
-            cell_id += 1;
-        }
-    }
-
-    let runs = pap_parallel::par_map(&grid, |gi, &(ai, alg, cell_id, ref pat)| {
-        let (name, pattern) = match pat {
-            Pat::Shape(si) => {
-                let shape = shapes[*si];
-                if shape == Shape::NoDelay {
-                    if let Some(nd) = &model_nodelay {
-                        // Calibration already ran this exact measurement.
-                        return Ok(SweepCell {
-                            alg,
-                            pattern: shape.name().to_string(),
-                            skew: 0.0,
-                            stats: nd[ai].clone(),
-                        });
-                    }
-                }
-                (shape.name().to_string(), std::borrow::Cow::Borrowed(&rows[row_of[ai]][*si]))
-            }
-            Pat::Extra(extra) => (extra.name.clone(), std::borrow::Cow::Borrowed(*extra)),
-        };
-        let spec =
-            CollSpec::new(kind, alg, bytes).with_tag_base((ai as u64 * 64 + cell_id) * 8 * TAG_SPAN);
-        let run_cfg = cfg.clone().with_seed(derive_seed(cfg.seed, gi as u64));
-        let stats = measure(platform, &spec, &pattern, &run_cfg)?;
-        // Stream completed spans out of the bounded rings between cells; a
-        // long sweep would otherwise overflow them before a final drain.
-        // No-op (one uncontended lock) unless a span stream is installed.
-        pap_obs::pump_spans();
-        Ok::<_, BenchError>(SweepCell { alg, pattern: name, skew: pattern.max_skew(), stats })
+        Ok::<_, BenchError>(cells)
     });
-    let cells = runs.into_iter().collect::<Result<Vec<_>, _>>()?;
+    let mut cells = Vec::with_capacity(algs.len() * row_len);
+    for row in rows {
+        cells.extend(row?);
+    }
 
     Ok(SweepResult { kind, bytes, algs: algs.to_vec(), patterns: pattern_names, cells })
 }
@@ -293,7 +262,7 @@ mod tests {
         .unwrap();
         assert_eq!(res.cells.len(), 9);
         assert_eq!(res.patterns.len(), 3);
-        // The flattened fan-out must preserve the sequential grid order:
+        // The row fan-out must preserve the sequential grid order:
         // algorithm-major, pattern-minor.
         let order: Vec<(u8, &str)> = res.cells.iter().map(|c| (c.alg, c.pattern.as_str())).collect();
         let expected: Vec<(u8, &str)> =

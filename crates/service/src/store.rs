@@ -700,7 +700,7 @@ pub fn measure_fault_matrix(
     let platform = Platform::try_preset(machine_id, ranks)?;
     let algs = experiment_ids(kind);
     let cfg = BenchConfig::simulation();
-    let t = no_delay_runtime(&platform, kind, algs[0], bytes, &cfg, 0)
+    let t = no_delay_runtime(&platform, kind, algs[0], bytes, &cfg)
         .map_err(|e| format!("fault grid {kind} @ {bytes} B: {e}"))?;
     let scenarios = standard_grid(ranks, t);
     let sw = fault_sweep(&platform, kind, &algs, bytes, &scenarios, &cfg)

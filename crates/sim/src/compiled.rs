@@ -53,6 +53,18 @@ pub(crate) enum COp {
     ClearSlot { slot: u32 },
 }
 
+impl COp {
+    /// The compiled form of a timing-only op (`Compute`/`SleepUntil`);
+    /// `None` for every op that touches requests, filters or values.
+    pub(crate) fn timing(op: &Op) -> Option<COp> {
+        match *op {
+            Op::Compute { seconds, noisy } => Some(COp::Compute { seconds, noisy }),
+            Op::SleepUntil { time } => Some(COp::SleepUntil { time }),
+            _ => None,
+        }
+    }
+}
+
 /// One segment of one rank: `end` is the absolute index one past its last
 /// op in [`CompiledJob::ops`].
 #[derive(Debug, Clone, Copy)]

@@ -7,6 +7,7 @@
 //! time" and "exit time" of the paper (§II-A).
 
 use crate::data::{BlockFilter, Value};
+use crate::engine::SimError;
 use crate::time::SimTime;
 
 /// Index of a buffer slot within a rank's slot table.
@@ -428,7 +429,7 @@ pub struct Job {
     /// ranks the full-program scan is a measurable slice of a single run,
     /// and jobs are routinely re-run (sweeps, repetitions), so
     /// the result is cached. `programs` must not be mutated after the
-    /// first run of the job.
+    /// first run of the job, except through [`Job::retime`].
     req_counts: std::sync::OnceLock<Vec<u32>>,
     /// Flattened engine form (see [`crate::compiled`]), built lazily on the
     /// first run and shared by all later runs. Same caching
@@ -466,6 +467,35 @@ impl Job {
         self.req_counts.get_or_init(|| {
             self.programs.iter().map(|p| p.max_req().map_or(0, |m| m as u32 + 1)).collect()
         })
+    }
+
+    /// Replace the timing-only op (`Compute` or `SleepUntil`) at `index` of
+    /// `rank`'s program (counted across segments in program order) with
+    /// another timing-only op. Writes the program and, once built, the
+    /// cached compiled stream, so a job built once re-runs under new start
+    /// times or delays without being rebuilt or recompiled.
+    ///
+    /// Refuses any other op, in place or as the replacement: those feed the
+    /// cached request counts, filters and values, which must not go stale.
+    pub fn retime(&mut self, rank: usize, index: usize, op: Op) -> Result<(), SimError> {
+        let Some(cop) = crate::compiled::COp::timing(&op) else {
+            return Err(SimError::InvalidProgram(format!("retime: {op:?} is not a timing op")));
+        };
+        let slot = self
+            .programs
+            .get_mut(rank)
+            .and_then(|p| p.segments.iter_mut().flat_map(|s| s.ops.iter_mut()).nth(index))
+            .ok_or_else(|| SimError::InvalidProgram(format!("retime: rank {rank} has no op {index}")))?;
+        if crate::compiled::COp::timing(slot).is_none() {
+            return Err(SimError::InvalidProgram(format!(
+                "retime: op {index} of rank {rank} is {slot:?}, not a timing op"
+            )));
+        }
+        *slot = op;
+        if let Some(c) = self.compiled.get_mut() {
+            c.ops[c.rank_ops[rank] as usize + index] = cop;
+        }
+        Ok(())
     }
 
     /// The flattened engine form (cached; see [`crate::compiled`]).
