@@ -176,15 +176,18 @@ type Task = (std::time::Instant, Box<dyn FnOnce() + Send + 'static>);
 
 struct PoolShared {
     queue: Mutex<PoolQueue>,
-    /// Signalled when a task is pushed or the pool starts shutting down.
-    task_ready: Condvar,
-    /// Signalled when a queue slot frees up (for bounded [`Pool::submit`]).
-    slot_free: Condvar,
+    /// One wake-up per worker: a pushed task wakes the most recently idled
+    /// worker, so a trickle of tasks stays on one warm thread (its stack
+    /// and allocator arena) instead of rotating through all of them.
+    wake: Vec<Condvar>,
     bound: usize,
+    after_task: Box<dyn Fn() + Send + Sync>,
 }
 
 struct PoolQueue {
     tasks: VecDeque<Task>,
+    /// Idle workers, most recently idled last.
+    idle: Vec<usize>,
     shutdown: bool,
     /// When shutting down: run the queued backlog (`true`, drain) or drop it
     /// (`false`, abort). In-flight tasks always run to completion.
@@ -194,9 +197,12 @@ struct PoolQueue {
 /// A bounded FIFO pool of long-lived worker threads for dynamically
 /// submitted tasks (as opposed to [`par_map`]'s static grids).
 ///
-/// * [`Pool::submit`] blocks while the queue holds `queue_bound` pending
-///   tasks — natural backpressure for servers feeding connections into the
-///   pool.
+/// * A task wakes the most recently idled worker, so tasks that arrive one
+///   at a time all run on one thread and touch one stack and one
+///   allocator arena.
+/// * [`Pool::submit`] never blocks: it rejects a task while the queue
+///   holds `queue_bound` pending tasks, and the caller picks the fallback
+///   (a server answering on an event loop must not wait for a slot).
 /// * Workers run tasks with the [`in_worker`] flag set, so a task calling
 ///   [`par_map`] runs it sequentially: total parallelism stays bounded by
 ///   the pool size.
@@ -212,72 +218,54 @@ impl Pool {
     /// Spawn a pool of `workers` threads with a queue bound of
     /// `queue_bound` pending tasks (both clamped to at least 1).
     pub fn new(workers: usize, queue_bound: usize) -> Pool {
+        Pool::with_after_task(workers, queue_bound, || {})
+    }
+
+    /// [`Pool::new`] plus a hook each worker runs after every task, once it
+    /// holds its next task or is listed idle. A task that announces its
+    /// result from here rather than from inside itself guarantees that a
+    /// submit reacting to the announcement finds this same worker first.
+    pub fn with_after_task(
+        workers: usize,
+        queue_bound: usize,
+        after_task: impl Fn() + Send + Sync + 'static,
+    ) -> Pool {
+        let workers = workers.max(1);
         let shared = Arc::new(PoolShared {
             queue: Mutex::new(PoolQueue {
                 tasks: VecDeque::new(),
+                idle: Vec::with_capacity(workers),
                 shutdown: false,
                 run_backlog: true,
             }),
-            task_ready: Condvar::new(),
-            slot_free: Condvar::new(),
+            wake: (0..workers).map(|_| Condvar::new()).collect(),
             bound: queue_bound.max(1),
+            after_task: Box::new(after_task),
         });
-        let workers = (0..workers.max(1))
-            .map(|_| {
+        let workers = (0..workers)
+            .map(|id| {
                 let shared = Arc::clone(&shared);
-                std::thread::spawn(move || {
-                    IN_WORKER.with(|flag| flag.set(true));
-                    loop {
-                        let task = {
-                            let mut q = shared.queue.lock().expect("pool queue poisoned");
-                            loop {
-                                if q.shutdown && (!q.run_backlog || q.tasks.is_empty()) {
-                                    return;
-                                }
-                                if let Some(t) = q.tasks.pop_front() {
-                                    shared.slot_free.notify_one();
-                                    break t;
-                                }
-                                q = shared.task_ready.wait(q).expect("pool queue poisoned");
-                            }
-                        };
-                        let (enqueued, task) = task;
-                        let m = pool_metrics();
-                        m.queue_wait_us
-                            .record(enqueued.elapsed().as_micros().min(u64::MAX as u128) as u64);
-                        m.workers_busy.add(1);
-                        let span = pap_obs::span("pool", "task");
-                        task();
-                        drop(span);
-                        m.workers_busy.add(-1);
-                        m.completed.inc();
-                    }
-                })
+                std::thread::spawn(move || work(&shared, id))
             })
             .collect();
         Pool { shared, workers }
     }
 
-    /// Enqueue a task, blocking while the queue is full. Returns `false`
-    /// (dropping the task) if the pool is shutting down.
+    /// Enqueue a task without blocking. Returns `false` (dropping the task)
+    /// if the queue is full or the pool is shutting down.
     pub fn submit(&self, f: impl FnOnce() + Send + 'static) -> bool {
         let mut q = self.shared.queue.lock().expect("pool queue poisoned");
-        while !q.shutdown && q.tasks.len() >= self.shared.bound {
-            q = self.shared.slot_free.wait(q).expect("pool queue poisoned");
-        }
-        if q.shutdown {
+        if q.shutdown || q.tasks.len() >= self.shared.bound {
             return false;
         }
         q.tasks.push_back((std::time::Instant::now(), Box::new(f)));
+        let idle = q.idle.pop();
         drop(q);
         pool_metrics().submitted.inc();
-        self.shared.task_ready.notify_one();
+        if let Some(w) = idle {
+            self.shared.wake[w].notify_one();
+        }
         true
-    }
-
-    /// Number of tasks waiting in the queue (not yet started).
-    pub fn backlog(&self) -> usize {
-        self.shared.queue.lock().expect("pool queue poisoned").tasks.len()
     }
 
     /// Graceful shutdown: stop intake, run every queued task, join workers.
@@ -299,12 +287,67 @@ impl Pool {
             if run_backlog { 0 } else { std::mem::take(&mut q.tasks).len() }
         };
         pool_metrics().dropped.add(dropped as u64);
-        self.shared.task_ready.notify_all();
-        self.shared.slot_free.notify_all();
+        for cv in &self.shared.wake {
+            cv.notify_all();
+        }
         for w in self.workers.drain(..) {
             w.join().expect("pool worker panicked");
         }
         dropped
+    }
+}
+
+/// What a worker does next.
+enum Next {
+    Run(Task),
+    /// Listed idle; announce the finished task before waiting.
+    Idle,
+    Exit,
+}
+
+/// One pool worker's loop.
+fn work(shared: &PoolShared, id: usize) {
+    IN_WORKER.with(|flag| flag.set(true));
+    let mut finished = false;
+    loop {
+        let next = {
+            let mut q = shared.queue.lock().expect("pool queue poisoned");
+            loop {
+                if q.shutdown && (!q.run_backlog || q.tasks.is_empty()) {
+                    break Next::Exit;
+                }
+                if let Some(t) = q.tasks.pop_front() {
+                    // Woken spuriously or beaten to its task: a busy worker
+                    // must not stay listed idle.
+                    q.idle.retain(|&w| w != id);
+                    break Next::Run(t);
+                }
+                if !q.idle.contains(&id) {
+                    q.idle.push(id);
+                }
+                if finished {
+                    break Next::Idle;
+                }
+                q = shared.wake[id].wait(q).expect("pool queue poisoned");
+            }
+        };
+        if std::mem::take(&mut finished) {
+            (shared.after_task)();
+        }
+        let (enqueued, task) = match next {
+            Next::Run(t) => t,
+            Next::Idle => continue,
+            Next::Exit => return,
+        };
+        let m = pool_metrics();
+        m.queue_wait_us.record(enqueued.elapsed().as_micros().min(u64::MAX as u128) as u64);
+        m.workers_busy.add(1);
+        let span = pap_obs::span("pool", "task");
+        task();
+        drop(span);
+        m.workers_busy.add(-1);
+        m.completed.inc();
+        finished = true;
     }
 }
 
@@ -378,7 +421,7 @@ mod tests {
     #[test]
     fn pool_runs_all_tasks_and_drains_on_join() {
         let counter = Arc::new(AtomicUsize::new(0));
-        let pool = Pool::new(3, 4);
+        let pool = Pool::new(3, 64);
         for _ in 0..50 {
             let c = Arc::clone(&counter);
             assert!(pool.submit(move || {
@@ -388,6 +431,67 @@ mod tests {
         }
         pool.join();
         assert_eq!(counter.load(Ordering::Relaxed), 50);
+    }
+
+    #[test]
+    fn after_task_hook_keeps_one_at_a_time_tasks_on_one_worker() {
+        let (tx, rx) = std::sync::mpsc::channel();
+        let tx = Mutex::new(tx);
+        let pool = Pool::with_after_task(4, 16, move || tx.lock().unwrap().send(()).unwrap());
+        // Let every worker start and list itself idle first.
+        while pool.shared.queue.lock().unwrap().idle.len() < 4 {
+            std::thread::yield_now();
+        }
+        let ran_on = Arc::new(Mutex::new(Vec::new()));
+        for _ in 0..10 {
+            let ran_on = Arc::clone(&ran_on);
+            assert!(pool.submit(move || ran_on.lock().unwrap().push(std::thread::current().id())));
+            // Submit the next task as soon as this one is announced: the
+            // worker that ran it is already listed idle, most recently.
+            rx.recv().unwrap();
+        }
+        pool.join();
+        let ran_on = ran_on.lock().unwrap();
+        assert_eq!(ran_on.len(), 10);
+        assert!(ran_on.windows(2).all(|w| w[0] == w[1]), "{ran_on:?}");
+    }
+
+    #[test]
+    fn pool_submit_rejects_instead_of_blocking_when_full() {
+        let ran = Arc::new(AtomicUsize::new(0));
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let pool = Pool::new(1, 2);
+        {
+            let (ran, gate) = (Arc::clone(&ran), Arc::clone(&gate));
+            assert!(pool.submit(move || {
+                ran.fetch_add(1, Ordering::Relaxed);
+                let (lock, cv) = &*gate;
+                let mut open = lock.lock().unwrap();
+                while !*open {
+                    open = cv.wait(open).unwrap();
+                }
+            }));
+        }
+        // The lone worker holds the gated task, so the queue is empty.
+        while ran.load(Ordering::Relaxed) == 0 {
+            std::thread::yield_now();
+        }
+        for _ in 0..2 {
+            let ran = Arc::clone(&ran);
+            assert!(pool.submit(move || {
+                ran.fetch_add(1, Ordering::Relaxed);
+            }));
+        }
+        // The queue holds its bound: the next submit returns at once.
+        let start = std::time::Instant::now();
+        assert!(!pool.submit(|| unreachable!("a rejected task never runs")));
+        assert!(start.elapsed() < std::time::Duration::from_secs(1));
+        assert_eq!(pool.shared.queue.lock().unwrap().tasks.len(), 2);
+        let (lock, cv) = &*gate;
+        *lock.lock().unwrap() = true;
+        cv.notify_all();
+        pool.join();
+        assert_eq!(ran.load(Ordering::Relaxed), 3);
     }
 
     #[test]

@@ -1,17 +1,22 @@
 //! `papd` — the online selection daemon, standalone.
 //!
-//! Thin wrapper over [`pap_service::Server`]; `papctl serve` exposes the
-//! same daemon with the toolkit's richer flag set.
+//! Thin wrapper over [`pap_service::Server`], the same server `papctl
+//! serve` and every fleet shard run. `--threads N` sets the worker count
+//! of the startup tuning fan-out and of the pool that computes cold cells
+//! and calibrations (as `papctl --threads N` does). SIGTERM or SIGINT
+//! drains like a `Shutdown` frame: requests already received are
+//! answered, then papd prints its stats table to stderr and exits 0.
 //!
 //! ```text
 //! papd [--addr A] [--snapshot F] [--backend {sim,model}] [--threads N]
-//!      [--machine M] [--ranks N] [--l1 N] [--refine-threads N] [--no-tune]
+//!      [--machine M] [--ranks N] [--policy P] [--l1 N] [--refine-threads N]
+//!      [--no-tune]
 //! ```
 
 use std::io::Write;
 use std::process::ExitCode;
 
-use pap_service::{ServeConfig, Server};
+use pap_service::{install_signal_shutdown, ServeConfig, Server};
 
 fn run(raw: &[String]) -> Result<(), String> {
     let mut cfg = ServeConfig::default();
@@ -25,8 +30,11 @@ fn run(raw: &[String]) -> Result<(), String> {
             "--snapshot" => cfg.snapshot = Some(value("snapshot")?.into()),
             "--backend" => cfg.backend = value("backend")?.parse()?,
             "--threads" => {
-                cfg.threads =
+                let n: usize =
                     value("threads")?.parse().map_err(|_| "--threads must be a number")?;
+                if n > 0 {
+                    pap_parallel::set_threads(n);
+                }
             }
             "--machine" => cfg.machine = value("machine")?.to_string(),
             "--ranks" => {
@@ -54,6 +62,7 @@ fn run(raw: &[String]) -> Result<(), String> {
         }
     }
     let server = Server::start(cfg)?;
+    install_signal_shutdown(&server)?;
     println!("papd listening on {}", server.local_addr());
     let _ = std::io::stdout().flush();
     let stats = std::sync::Arc::clone(server.stats());

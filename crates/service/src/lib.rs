@@ -8,8 +8,10 @@
 //! arriving?"* — the deployment story for arrival-pattern-aware selection.
 //!
 //! * [`proto`] — the versioned newline-delimited-JSON wire protocol.
-//! * [`server`] — `papd` itself: bounded thread pools, tiered resolution,
-//!   graceful shutdown, observability counters.
+//! * [`server`] — `papd` itself, and every fleet shard: one epoll loop
+//!   that answers cache hits and control frames inline and sends cold,
+//!   fault-evidence and calibration work to a bounded pool; graceful
+//!   shutdown; observability counters.
 //! * [`store`] — the tier logic: **L1** (LRU of resolved answers, guarded
 //!   by evidence generations) → **L2** (precomputed benchmark matrices,
 //!   exact then nearest-size) → **L3** (inline model computation plus
@@ -43,7 +45,7 @@ pub use proto::{
     RequestEnvelope, StatsReport, Tier, MAX_FRAME_BYTES, PROTO_VERSION,
 };
 pub use server::{
-    build_store, install_signal_shutdown, Dispatcher, ServeConfig, Server, ShutdownHandle,
+    build_store, install_signal_shutdown, Deferred, Dispatcher, ServeConfig, Server,
     REPLICA_PAGE_MAX,
 };
 pub use snapshot::{Snapshot, SnapshotCell, SNAPSHOT_FORMAT};

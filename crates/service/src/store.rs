@@ -368,6 +368,25 @@ impl TierStore {
     /// scheduled for the evidence cell, that cell's key (the caller owns the
     /// worker pool). Errors are client errors (`BadRequest`).
     pub fn resolve(&self, q: &QueryRequest) -> Result<(QueryAnswer, Option<CellKey>), String> {
+        self.lookup(q, true).map(|r| r.expect("a computing lookup always answers"))
+    }
+
+    /// [`TierStore::resolve`] restricted to what costs no computation: an
+    /// L1 hit, or an L2 hit whose policy needs no lazy fault evidence.
+    /// `Ok(None)` means the answer needs a model sweep or sim runs; nothing
+    /// was counted, so the caller can resolve the query in full elsewhere.
+    pub fn resolve_cached(
+        &self,
+        q: &QueryRequest,
+    ) -> Result<Option<(QueryAnswer, Option<CellKey>)>, String> {
+        self.lookup(q, false)
+    }
+
+    fn lookup(
+        &self,
+        q: &QueryRequest,
+        compute: bool,
+    ) -> Result<Option<(QueryAnswer, Option<CellKey>)>, String> {
         let machine_id: MachineId = q.machine.parse()?;
         let machine = machine_id.name().to_string();
         if q.ranks < 2 {
@@ -441,14 +460,17 @@ impl TierStore {
         let l1_key = L1Key { cell: key.clone(), policy: policy_label.clone() };
         if let Some(hit) = self.l1_lookup(&l1_key) {
             self.stats.l1_hit();
-            return Ok((
+            return Ok(Some((
                 answer(hit.alg, Tier::L1, hit.exact, &hit.evidence, &hit.backend, hit.generation, false),
                 None,
-            ));
+            )));
         }
 
         // L2: precomputed evidence, exact then nearest-size.
         if let Some((evidence_key, mut cell, exact)) = self.l2_lookup(&key) {
+            if !compute && needs_fault_evidence(&policy, &cell) {
+                return Ok(None);
+            }
             let alg = self.select_in_cell(machine_id, &evidence_key, &mut cell, &policy)?;
             if exact {
                 self.stats.l2_exact_hit();
@@ -467,10 +489,13 @@ impl TierStore {
                 },
             );
             let tier = if exact { Tier::L2 } else { Tier::L2Near };
-            return Ok((
+            return Ok(Some((
                 answer(alg, tier, exact, &evidence_key, &cell.backend, cell.generation, refine),
                 refine.then_some(evidence_key),
-            ));
+            )));
+        }
+        if !compute {
+            return Ok(None);
         }
 
         // Miss: compute the cell inline with the cheap backend, publish it
@@ -520,10 +545,10 @@ impl TierStore {
                 generation,
             },
         );
-        Ok((
+        Ok(Some((
             answer(alg, Tier::Computed, true, &key, &backend.to_string(), generation, refine),
             refine.then_some(key),
-        ))
+        )))
     }
 
     /// Re-measure `key` with the simulator and upgrade the cell if it is
@@ -649,7 +674,7 @@ impl TierStore {
         cell: &mut CellEvidence,
         policy: &SelectionPolicy,
     ) -> Result<u8, String> {
-        if matches!(policy, SelectionPolicy::FaultRobust { .. }) && cell.faults.is_none() {
+        if needs_fault_evidence(policy, cell) {
             let fm = self.compute_fault_matrix(machine_id, key)?;
             let mut l2 = self.l2.write().expect("l2 lock");
             if let Some(live) = l2.get_mut(key) {
@@ -685,6 +710,12 @@ impl TierStore {
             .map_err(|e| format!("{} @ {} B: {e}", key.kind, key.bytes))?;
         Ok(BenchMatrix::from_sweep(&sw))
     }
+}
+
+/// Whether selecting in `cell` under `policy` must first measure the
+/// cell's fault evidence (sim runs).
+fn needs_fault_evidence(policy: &SelectionPolicy, cell: &CellEvidence) -> bool {
+    matches!(policy, SelectionPolicy::FaultRobust { .. }) && cell.faults.is_none()
 }
 
 /// Measure the standard fault grid for one `(machine, collective, ranks,
@@ -775,6 +806,20 @@ mod tests {
         assert_eq!(a.tier, Tier::L2Near);
         assert!(!a.exact);
         assert_eq!(a.evidence_bytes, 32 * 1024);
+    }
+
+    #[test]
+    fn cached_resolution_declines_cold_cells_and_counts_nothing() {
+        let s = store(8, false);
+        assert!(s.resolve_cached(&query(4096, None)).unwrap().is_none());
+        assert_eq!(s.stats().report().tiers, Default::default());
+        assert_eq!(s.l2_len(), 0);
+        // Client errors need no computation: they come back directly.
+        assert!(s.resolve_cached(&QueryRequest { ranks: 1, ..query(4096, None) }).is_err());
+        let (a, _) = s.resolve(&query(4096, None)).unwrap();
+        assert_eq!(a.tier, Tier::Computed);
+        let (b, _) = s.resolve_cached(&query(4096, None)).unwrap().expect("now cached");
+        assert_eq!((b.tier, b.alg), (Tier::L1, a.alg));
     }
 
     #[test]
@@ -883,7 +928,9 @@ mod tests {
         let (_, records) = tune_machine(&platform, &plan, &cfg).unwrap();
         s.ingest_records("SimCluster", &records, "model");
         // Seeded cells have no fault evidence; the first fault-robust query
-        // measures it lazily and still answers from L2.
+        // measures it lazily (so a cache-only lookup declines it) and still
+        // answers from L2.
+        assert!(s.resolve_cached(&query(1024, None)).unwrap().is_none());
         let (a, _) = s.resolve(&query(1024, None)).unwrap();
         assert_eq!(a.tier, Tier::L2);
         assert!(a.policy.starts_with("fault_robust"));

@@ -1,9 +1,13 @@
 //! End-to-end tests for `papd` over real loopback TCP: arrival-pattern-aware
 //! selection consistent with the offline `select()`, warm restart from a
 //! snapshot, the error surface of the wire protocol, pipelining, background
-//! refinement, and graceful shutdown.
+//! refinement, connection scale, and graceful shutdown.
 
+use std::io::{BufRead, BufReader, Write};
+use std::net::TcpStream;
 use std::path::PathBuf;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use pap_arrival::{classify_delays, generate, Shape};
@@ -12,8 +16,8 @@ use pap_core::selection::{select, SelectionPolicy};
 use pap_core::tuner::{tune_machine, TunePlan};
 use pap_microbench::BenchConfig;
 use pap_service::{
-    decode_request, Client, ErrorCode, QueryRequest, Reply, Request, ServeConfig, Server, Snapshot,
-    Tier, PROTO_VERSION,
+    decode_reply, decode_request, encode_frame, Client, ErrorCode, QueryRequest, Reply, Request,
+    RequestEnvelope, ServeConfig, Server, Snapshot, Tier, PROTO_VERSION,
 };
 use pap_sim::Platform;
 
@@ -255,6 +259,25 @@ fn pipelining_answers_in_request_order() {
     stop(server, &mut client);
 }
 
+/// A pipelined batch whose cold cells go to the offload pool comes back
+/// complete and in request order: the four distinct cells are computed,
+/// every repeat is an L1 hit.
+#[test]
+fn pipelined_cold_batch_answers_in_request_order() {
+    let (server, mut client) = start(|cfg| cfg.tune_at_startup = false);
+    let ranks: Vec<usize> = (0..64).map(|i| 8 + i % 4).collect();
+    let results = client
+        .query_batch(ranks.iter().map(|&p| QueryRequest { ranks: p, ..query(1024) }).collect())
+        .expect("batch");
+    assert_eq!(results.len(), ranks.len());
+    for (i, (r, &p)) in results.iter().zip(&ranks).enumerate() {
+        let a = r.as_ref().expect("valid query");
+        assert_eq!(a.ranks, p, "answers must come back in request order");
+        assert_eq!(a.tier, if i < 4 { Tier::Computed } else { Tier::L1 });
+    }
+    stop(server, &mut client);
+}
+
 /// One rejected query in a pipelined batch lands in its own error slot;
 /// the queries around it still get answers.
 #[test]
@@ -311,6 +334,118 @@ fn background_refinement_upgrades_the_cache() {
     assert!(!warm.refine_scheduled, "sim-backed evidence must not re-refine");
 
     stop(server, &mut client);
+}
+
+/// A full refinement queue cancels the ticket instead of delaying the
+/// answer. With one refine worker (a queue of four), the first ticket's sim
+/// sweep at 256 ranks outlasts five model sweeps, so the sixth cold query
+/// finds the queue full: it must answer as fast as the first five, and a
+/// Ping on another connection must stay prompt throughout.
+#[test]
+fn full_refine_queue_never_delays_the_answer() {
+    let (server, mut client) = start(|cfg| {
+        cfg.tune_at_startup = false;
+        cfg.refine_threads = 1;
+    });
+    let addr = server.local_addr();
+    let done = Arc::new(AtomicBool::new(false));
+    let pinger = {
+        let done = Arc::clone(&done);
+        std::thread::spawn(move || {
+            let mut c = Client::connect(addr).expect("pinger connect");
+            let mut worst = Duration::ZERO;
+            while !done.load(Ordering::Relaxed) {
+                let t = Instant::now();
+                c.ping().expect("ping");
+                worst = worst.max(t.elapsed());
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            worst
+        })
+    };
+    let mut took = Vec::new();
+    for i in 0..6 {
+        let q = QueryRequest {
+            collective: CollectiveKind::Allreduce,
+            ranks: 256 - i,
+            ..query(4096)
+        };
+        let t = Instant::now();
+        let a = client.query(q).expect("cold query");
+        took.push(t.elapsed());
+        assert_eq!(a.tier, Tier::Computed);
+    }
+    done.store(true, Ordering::Relaxed);
+    let worst_ping = pinger.join().expect("pinger");
+
+    let stats = client.stats().expect("stats");
+    assert!(stats.tiers.refines_dropped >= 1, "the sixth ticket must be cancelled: {stats:?}");
+    let slowest = *took[..5].iter().max().expect("five queries");
+    assert!(
+        took[5] <= 2 * slowest + Duration::from_millis(250),
+        "sixth cold query took {:?}; the first five at most {slowest:?}",
+        took[5]
+    );
+    assert!(worst_ping < Duration::from_millis(500), "a Ping waited {worst_ping:?}");
+    stop(server, &mut client);
+}
+
+/// Six clients connected at once, at the default config, each get a Pong
+/// within a second: no connection waits for another one to close.
+#[test]
+fn six_concurrent_connections_each_get_a_ping_within_a_second() {
+    let server = Server::start(ServeConfig::default()).expect("server start");
+    let addr = server.local_addr();
+    let mut conns: Vec<(TcpStream, BufReader<TcpStream>)> = (0..6)
+        .map(|i| {
+            let s = TcpStream::connect(addr).unwrap_or_else(|e| panic!("connect #{i}: {e}"));
+            s.set_read_timeout(Some(Duration::from_secs(1))).expect("read timeout");
+            let r = BufReader::new(s.try_clone().expect("clone"));
+            (s, r)
+        })
+        .collect();
+    for (i, (w, r)) in conns.iter_mut().enumerate() {
+        let ping = RequestEnvelope { v: PROTO_VERSION, id: i as u64, req: Request::Ping };
+        w.write_all(encode_frame(&ping).as_bytes()).expect("send ping");
+        let mut line = String::new();
+        r.read_line(&mut line).unwrap_or_else(|e| panic!("connection #{i}: no Pong in 1 s: {e}"));
+        let env = decode_reply(line.trim_end()).expect("reply");
+        assert_eq!(env.id, i as u64);
+        assert!(matches!(env.reply, Reply::Pong), "connection #{i}: {:?}", env.reply);
+    }
+    server.stop();
+    server.join();
+}
+
+/// The server holds ≥ 1024 concurrent connections on one thread and
+/// serves every one of them.
+#[test]
+fn server_sustains_1024_concurrent_connections() {
+    const CONNS: usize = 1100;
+    let server = Server::start(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        tune_at_startup: false,
+        refine_threads: 0,
+        ..ServeConfig::default()
+    })
+    .expect("server start");
+    let addr = server.local_addr();
+
+    let mut clients: Vec<Client> = Vec::with_capacity(CONNS);
+    for i in 0..CONNS {
+        clients.push(Client::connect(addr).unwrap_or_else(|e| panic!("connect #{i}: {e}")));
+    }
+    // Every connection is live and served while all the others stay open.
+    for (i, c) in clients.iter_mut().enumerate() {
+        c.ping().unwrap_or_else(|e| panic!("ping #{i}: {e}"));
+    }
+    let stats = clients[0].stats().expect("stats");
+    assert!(stats.connections >= CONNS as u64, "accepted {}", stats.connections);
+    assert_eq!(stats.endpoints.ping, CONNS as u64);
+
+    drop(clients);
+    server.stop();
+    server.join();
 }
 
 /// Nearest-size fallback: a query between tuned sizes is answered from the

@@ -2,10 +2,13 @@
 //!
 //! This lives in its own test binary on purpose: `raise_signal` signals the
 //! whole process, so it must not share a process with unrelated tests. The
-//! single test below proves the contract `papctl serve` relies on — a
+//! tests below prove the contract `papctl serve` and `papd` rely on — a
 //! delivered SIGTERM reuses the same drain path as a `Shutdown` frame, and
-//! queries already in flight complete instead of being torn down.
+//! queries already in flight complete instead of being torn down — once in
+//! process and once against the `papd` binary.
 
+use std::io::{BufRead, BufReader, Read};
+use std::process::{Child, Command, Stdio};
 use std::time::{Duration, Instant};
 
 use pap_collectives::CollectiveKind;
@@ -82,4 +85,65 @@ fn sigterm_drains_in_flight_queries() {
             Ok(_) => std::thread::sleep(Duration::from_millis(20)),
         }
     }
+}
+
+/// Kills the child if the test fails before it exits.
+struct Reap(Child);
+
+impl Drop for Reap {
+    fn drop(&mut self) {
+        if let Ok(None) = self.0.try_wait() {
+            let _ = self.0.kill();
+            let _ = self.0.wait();
+        }
+    }
+}
+
+#[test]
+fn papd_binary_drains_on_sigterm() {
+    let child = Command::new(env!("CARGO_BIN_EXE_papd"))
+        .args(["--addr", "127.0.0.1:0", "--refine-threads", "0"])
+        .stdout(Stdio::piped())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn papd");
+    let mut papd = Reap(child);
+    let mut line = String::new();
+    BufReader::new(papd.0.stdout.take().expect("stdout")).read_line(&mut line).expect("read");
+    let addr = line.trim().strip_prefix("papd listening on ").expect("address line").to_string();
+
+    let mut clients: Vec<Client> = (0..4)
+        .map(|i| Client::connect(&addr).unwrap_or_else(|e| panic!("connect #{i}: {e}")))
+        .collect();
+    let mut pending = Vec::new();
+    for c in clients.iter_mut() {
+        pending.push((0..3).map(|_| c.send(query(16)).expect("send")).collect::<Vec<_>>());
+    }
+    let status = Command::new("kill")
+        .args(["-TERM", &papd.0.id().to_string()])
+        .status()
+        .expect("run kill");
+    assert!(status.success());
+
+    for (i, (c, ids)) in clients.iter_mut().zip(pending).enumerate() {
+        for id in ids {
+            let env = c.recv().unwrap_or_else(|e| panic!("in-flight reply #{i} lost: {e}"));
+            assert_eq!(env.id, id);
+            assert!(matches!(env.reply, Reply::Answer(_)), "connection #{i}: {:?}", env.reply);
+        }
+    }
+    drop(clients);
+
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let status = loop {
+        match papd.0.try_wait().expect("wait papd") {
+            Some(status) => break status,
+            None if Instant::now() < deadline => std::thread::sleep(Duration::from_millis(20)),
+            None => panic!("papd still running 10 s after SIGTERM"),
+        }
+    };
+    assert!(status.success(), "papd exited with {status}");
+    let mut stderr = String::new();
+    papd.0.stderr.take().expect("stderr").read_to_string(&mut stderr).expect("read stderr");
+    assert!(stderr.contains("papd: shut down"), "no stats table on stderr: {stderr}");
 }

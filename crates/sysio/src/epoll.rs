@@ -1,6 +1,6 @@
 //! A minimal safe wrapper over the Linux epoll API.
 //!
-//! Level-triggered only: the fleet node re-arms interest explicitly, which
+//! Level-triggered only: the serving loop re-arms interest explicitly, which
 //! keeps the readiness loop obviously correct (a partially drained buffer
 //! simply reports ready again on the next wait) at the cost of a few extra
 //! wakeups — the right trade for a daemon whose per-event work is a full
@@ -51,13 +51,13 @@ pub struct Interest {
 impl Interest {
     /// Readable only — the steady state of an idle connection.
     pub const READ: Interest = Interest { readable: true, writable: false };
-    /// Readable and writable — while a write buffer is partially flushed.
-    pub const READ_WRITE: Interest = Interest { readable: true, writable: true };
 
     fn mask(self) -> u32 {
-        let mut m = EPOLLRDHUP;
+        // A peer half-close is a read event: a registration that is not
+        // reading must not be woken by it over and over (level-triggered).
+        let mut m = 0;
         if self.readable {
-            m |= EPOLLIN;
+            m |= EPOLLIN | EPOLLRDHUP;
         }
         if self.writable {
             m |= EPOLLOUT;
@@ -197,11 +197,16 @@ mod tests {
         assert_eq!(&buf[..got], b"ping\n");
 
         // Write interest on an idle socket reports writable immediately.
-        ep.modify(rx.as_raw_fd(), 7, Interest::READ_WRITE).unwrap();
+        ep.modify(rx.as_raw_fd(), 7, Interest { readable: true, writable: true }).unwrap();
         let n = ep.wait(&mut events, 16, Some(Duration::from_secs(5))).unwrap();
         assert!(n >= 1 && events[0].writable);
 
-        // Peer close surfaces as readable (EOF) so the loop drains and closes.
+        // Without read interest a peer close wakes nobody; with it, the close
+        // surfaces as readable (EOF) so the loop drains and closes.
+        tx.shutdown(std::net::Shutdown::Write).unwrap();
+        ep.modify(rx.as_raw_fd(), 7, Interest { readable: false, writable: false }).unwrap();
+        assert_eq!(ep.wait(&mut events, 16, Some(Duration::from_millis(10))).unwrap(), 0);
+        ep.modify(rx.as_raw_fd(), 7, Interest::READ).unwrap();
         drop(tx);
         let n = ep.wait(&mut events, 16, Some(Duration::from_secs(5))).unwrap();
         assert!(n >= 1 && events[0].readable);

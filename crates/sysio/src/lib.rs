@@ -1,7 +1,7 @@
 //! `pap-sysio`: the one crate in the workspace allowed to contain `unsafe`.
 //!
-//! Every other crate carries `#![forbid(unsafe_code)]`; the event-driven
-//! fleet node and the daemons need three narrow pieces of kernel surface
+//! Every other crate carries `#![forbid(unsafe_code)]`; the daemons'
+//! event-driven server needs three narrow pieces of kernel surface
 //! that std does not expose — an epoll readiness loop, async-signal-safe
 //! shutdown flags, and the file-descriptor rlimit. Rather than vendoring a
 //! libc crate, this module declares the handful of libc symbols it needs

@@ -196,7 +196,7 @@ fn main() -> ExitCode {
 const USAGE: &str = "usage: papctl <machines|algorithms|pattern|bench|sweep|tune|profile|serve|fleet|query|calibrate|ft|trace|lint|repair|help> …
 global flags: --threads N   worker threads for sweep/tune fan-out
                             (default: PAP_THREADS env, else all cores; 1 = sequential);
-                            for `serve`, also the connection-pool size
+                            for `serve`, also the pool computing cold cells
 bench/sweep/tune flags: --backend {sim,model}
                             sim   = event-driven simulator (default)
                             model = closed-form analytical LogGP models
@@ -588,14 +588,12 @@ fn serve_config_from(args: &Args) -> Result<ServeConfig, String> {
         },
         machine: args.flag("machine", defaults.machine.clone()),
         ranks: args.flag("ranks", defaults.ranks),
-        threads: args.flag("threads", defaults.threads),
         refine_threads: args.flag("refine-threads", defaults.refine_threads),
         l1_capacity: args.flag("l1", defaults.l1_capacity),
         default_policy: match args.opt("policy") {
             Some(p) => p.parse::<DefaultPolicy>()?,
             None => defaults.default_policy,
         },
-        read_timeout: defaults.read_timeout,
         tune_at_startup: !args.has("no-tune"),
     })
 }
